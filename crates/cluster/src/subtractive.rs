@@ -333,7 +333,9 @@ impl SubtractiveClustering {
 ///
 /// Rows are distributed over `pool` in fixed [`POTENTIAL_ROW_CHUNK`] blocks;
 /// each row is an independent fixed-order sum, so the output is
-/// bit-identical at every thread count.
+/// bit-identical at every thread count. The matrix is filled in place
+/// before the parallel sweep, which then reads it: assembling it from
+/// per-chunk rows would hold two copies of all `n²` distances at the peak.
 fn potential_field(
     x: &[Vec<f64>],
     alpha: f64,
@@ -341,30 +343,37 @@ fn potential_field(
     cache_matrix: bool,
 ) -> (Vec<f64>, Option<Vec<f64>>) {
     let n = x.len();
+    let matrix = cache_matrix.then(|| {
+        let mut matrix = Vec::with_capacity(n * n);
+        for xi in x {
+            for xj in x {
+                matrix.push(dist_sq(xi, xj).expect("equal dims"));
+            }
+        }
+        matrix
+    });
     let parts = pool.run_chunks(n, POTENTIAL_ROW_CHUNK, |chunk| {
-        let mut rows = Vec::with_capacity(if cache_matrix { chunk.len() * n } else { 0 });
         let mut pots = Vec::with_capacity(chunk.len());
         for i in chunk.start..chunk.end {
-            let xi = &x[i];
             let mut p = 0.0f64;
-            for xj in x {
-                let d2 = dist_sq(xi, xj).expect("equal dims");
-                p += exp_exact(-alpha * d2);
-                if cache_matrix {
-                    rows.push(d2);
+            match &matrix {
+                Some(m) => {
+                    for &d2 in &m[i * n..(i + 1) * n] {
+                        p += exp_exact(-alpha * d2);
+                    }
+                }
+                None => {
+                    let xi = &x[i];
+                    for xj in x {
+                        p += exp_exact(-alpha * dist_sq(xi, xj).expect("equal dims"));
+                    }
                 }
             }
             pots.push(p);
         }
-        (rows, pots)
+        pots
     });
-    let mut potential = Vec::with_capacity(n);
-    let mut matrix = Vec::with_capacity(if cache_matrix { n * n } else { 0 });
-    for (rows, pots) in parts {
-        matrix.extend(rows);
-        potential.extend(pots);
-    }
-    (potential, cache_matrix.then_some(matrix))
+    (parts.concat(), matrix)
 }
 
 #[cfg(test)]

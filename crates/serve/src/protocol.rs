@@ -68,6 +68,13 @@ pub const MIN_PROTOCOL_VERSION: u32 = 3;
 /// Bytes before the payload: length, version, CRC.
 pub const FRAME_HEADER_LEN: usize = 4 + 4 + 4;
 
+/// Stand-in for the header while the payload is serialized behind it.
+const HEADER_PLACEHOLDER: &str = "\0\0\0\0\0\0\0\0\0\0\0\0";
+const _: () = assert!(HEADER_PLACEHOLDER.len() == FRAME_HEADER_LEN);
+
+/// Initial frame buffer size: a classify answer fits without regrowing.
+const FRAME_START_CAPACITY: usize = 1024;
+
 /// Refuse frames beyond this payload size (a corrupt or hostile length
 /// field must not turn into an OOM): 16 MiB.
 pub const MAX_FRAME_LEN: u32 = 16 << 20;
@@ -379,25 +386,28 @@ pub fn encode_frame<T: Serialize>(msg: &T) -> Result<Vec<u8>> {
 ///
 /// Same conditions as [`encode_frame`].
 pub fn encode_frame_with_version<T: Serialize>(version: u32, msg: &T) -> Result<Vec<u8>> {
-    let payload = serde_json::to_string(msg).map_err(|e| ServeError::Decode(e.to_string()))?;
-    let payload = payload.as_bytes();
-    if payload.len() as u64 > u64::from(MAX_FRAME_LEN) {
+    // Serialize straight into the frame behind a placeholder header (NUL
+    // bytes keep the buffer valid UTF-8), then fill the header in place.
+    let mut text = String::with_capacity(FRAME_START_CAPACITY);
+    text.push_str(HEADER_PLACEHOLDER);
+    serde_json::to_string_into(&mut text, msg).map_err(|e| ServeError::Decode(e.to_string()))?;
+    let mut bytes = text.into_bytes();
+    let payload_len = bytes.len() - FRAME_HEADER_LEN;
+    if payload_len as u64 > u64::from(MAX_FRAME_LEN) {
         return Err(ServeError::FrameTooLarge {
-            len: payload.len() as u64,
+            len: payload_len as u64,
             max: u64::from(MAX_FRAME_LEN),
         });
     }
-    let len_le = (payload.len() as u32).to_le_bytes();
+    let len_le = (payload_len as u32).to_le_bytes();
     let version_le = version.to_le_bytes();
     let mut crc = Crc32::new();
     crc.update(&len_le);
     crc.update(&version_le);
-    crc.update(payload);
-    let mut bytes = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    bytes.extend_from_slice(&len_le);
-    bytes.extend_from_slice(&version_le);
-    bytes.extend_from_slice(&crc.finalize().to_le_bytes());
-    bytes.extend_from_slice(payload);
+    crc.update(&bytes[FRAME_HEADER_LEN..]);
+    bytes[0..4].copy_from_slice(&len_le);
+    bytes[4..8].copy_from_slice(&version_le);
+    bytes[8..12].copy_from_slice(&crc.finalize().to_le_bytes());
     Ok(bytes)
 }
 

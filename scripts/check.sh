@@ -34,6 +34,12 @@ if [ "$ANALYZE_OK" -ne 0 ]; then
     exit "$ANALYZE_OK"
 fi
 
+echo "==> cqm-analyze --deny-all vendor/serde_json/src (JSON codec hot path)"
+# The vendored JSON codec carries every wire frame, checkpoint and journal
+# record. It is tagged `// analyze: hot-path`, so a per-token allocation
+# inside one of its loops (HOT_LOOP_ALLOC) fails this leg.
+cargo run -q --release -p cqm-analyze -- --deny-all vendor/serde_json/src
+
 echo "==> cargo test"
 cargo test -q --workspace
 

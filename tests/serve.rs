@@ -14,8 +14,9 @@
 
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cqm::classify::FisClassifier;
 use cqm::core::model::{CqmModel, MODEL_VERSION};
@@ -23,8 +24,10 @@ use cqm::core::normalize::Quality;
 use cqm::core::pipeline::{CqmSystem, QualifiedClassification};
 use cqm::core::QualityMeasure;
 use cqm::fuzzy::{MembershipFunction, TskFis, TskRule};
+use cqm::persist::crc32::Crc32;
 use cqm::serve::protocol::{
     encode_frame, encode_frame_with_version, read_frame, FrameRead, Request, RequestId, Response,
+    PROTOCOL_VERSION,
 };
 use cqm::serve::{
     AdmissionPolicy, ClientConfig, CqmClient, CqmServer, ModelSource, ServedModel, ServerConfig,
@@ -226,6 +229,100 @@ fn oversized_frames_are_rejected_before_allocation() {
     );
     assert_still_serving(addr, &reference);
     server.shutdown().expect("shutdown");
+}
+
+/// Frame an arbitrary payload with a valid length, version and CRC — what
+/// a peer that speaks the framing but not the schema sends. The CRC is no
+/// defense here; the parser is.
+fn crc_valid_frame(payload: &[u8]) -> Vec<u8> {
+    let len_le = u32::try_from(payload.len()).expect("payload fits u32").to_le_bytes();
+    let version_le = PROTOCOL_VERSION.to_le_bytes();
+    let mut crc = Crc32::new();
+    crc.update(&len_le);
+    crc.update(&version_le);
+    crc.update(payload);
+    let mut frame = Vec::with_capacity(12 + payload.len());
+    frame.extend_from_slice(&len_le);
+    frame.extend_from_slice(&version_le);
+    frame.extend_from_slice(&crc.finalize().to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+#[test]
+fn crc_valid_hostile_payloads_get_typed_goodbyes_while_peers_keep_answering() {
+    let model = tiny_model();
+    let reference = reference_system(&model);
+    let server = start_default();
+    let addr = server.local_addr();
+
+    // 1 MiB of `[` would recurse once per byte in an uncapped parser and
+    // overflow the session thread's stack, aborting the whole server. A
+    // 4 MiB string would take hours in a parser that re-scans the input
+    // tail per character.
+    let deep = crc_valid_frame(&vec![b'['; 1 << 20]);
+    let mut string = vec![b'a'; 4 << 20];
+    string[0] = b'"';
+    *string.last_mut().expect("non-empty") = b'"';
+    let huge = crc_valid_frame(&string);
+
+    let cues = probe_cues(16);
+    let expected: Vec<QualifiedClassification> = cues
+        .iter()
+        .map(|c| reference.classify_with_quality(c).expect("reference"))
+        .collect();
+    let stop = AtomicBool::new(false);
+    let (outcomes, peer) = std::thread::scope(|s| {
+        // A well-behaved peer on its own connection, classifying until
+        // both hostile exchanges are over.
+        let peer = s.spawn(|| {
+            let mut c = client(addr);
+            let mut answers = Vec::new();
+            loop {
+                for cue in &cues {
+                    answers.push(c.classify(cue));
+                }
+                if stop.load(Ordering::Relaxed) {
+                    return answers;
+                }
+            }
+        });
+        let outcomes: Vec<_> = [("1 MiB of `[`", &deep), ("4 MiB string", &huge)]
+            .into_iter()
+            .map(|(name, frame)| {
+                let started = Instant::now();
+                let goodbye = send_raw(addr, frame);
+                (name, goodbye, started.elapsed())
+            })
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        (outcomes, peer.join())
+    });
+
+    for (name, goodbye, elapsed) in outcomes {
+        assert!(
+            elapsed < Duration::from_secs(10),
+            "{name}: goodbye took {elapsed:?}"
+        );
+        let Some(Response::Error { error }) = goodbye else {
+            panic!("{name}: expected a typed goodbye, got {goodbye:?}");
+        };
+        assert_eq!(error.kind, WireErrorKind::BadRequest, "{name}: {error}");
+        assert!(
+            error.detail.len() < 512,
+            "{name}: the goodbye must not echo the payload ({} bytes)",
+            error.detail.len()
+        );
+    }
+    let answers = peer.expect("peer thread");
+    assert!(answers.len() >= cues.len(), "peer answered {}", answers.len());
+    for (answer, want) in answers.iter().zip(expected.iter().cycle()) {
+        let got = answer.as_ref().expect("peer keeps being served");
+        assert_bit_identical(got, want, "peer during hostile frames");
+    }
+    assert_still_serving(addr, &reference);
+    let health = server.shutdown().expect("shutdown");
+    assert_eq!(health.session_errors, 2, "health: {health:?}");
 }
 
 #[test]
