@@ -23,9 +23,9 @@
 //! exp(−α‖x_i−x_j‖²)` accumulated in ascending `j` (the `j = i` term is
 //! `exp(0) = 1`). Rows are independent, so distributing them over a
 //! [`WorkerPool`] cannot change any bit of the result — see DESIGN.md §9.
-//! Pairwise distances computed for the field are cached (when the `n×n`
-//! matrix fits the [`DIST_CACHE_MAX_POINTS`] budget) and reused by the
-//! revision loop and the gray-zone criterion instead of being recomputed.
+//! Distances are computed inside the sweep and never stored as an `n×n`
+//! matrix; the revision loop keeps one d² row per accepted center, which the
+//! gray-zone criterion reuses.
 
 // analyze: hot-path
 // lint: allow(PANIC_IN_LIB, file) -- density kernel over shapes validated at entry; potentials vector sized to n
@@ -38,11 +38,6 @@ use cqm_parallel::WorkerPool;
 
 /// Rows per parallel work item when building the potential field.
 const POTENTIAL_ROW_CHUNK: usize = 16;
-
-/// Largest point count for which the full `n×n` distance matrix is cached
-/// (8·n² bytes; 4096 points ≈ 128 MiB). Beyond it, per-center distance rows
-/// are still cached so the gray-zone criterion never recomputes them.
-pub const DIST_CACHE_MAX_POINTS: usize = 4096;
 
 /// Parameters of subtractive clustering, defaults per Chiu (1997).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -167,7 +162,7 @@ impl SubtractiveClustering {
         let scaler = UnitScaler::fit(data)?;
         let x = scaler.transform_all(data)?;
         let alpha = 4.0 / (self.params.radius * self.params.radius);
-        Ok(potential_field(&x, alpha, pool, false).0)
+        Ok(potential_field(&x, alpha, pool))
     }
 
     /// Potential of one **unit-normalized** point with respect to a set of
@@ -208,8 +203,7 @@ impl SubtractiveClustering {
     /// Run the algorithm with the O(n²) potential field distributed over
     /// `pool`. The result is bit-identical to the serial path at any thread
     /// count: every point's potential is an independent row sum accumulated
-    /// in a fixed index order, and the sequential revision loop reuses the
-    /// distances the field construction already produced.
+    /// in a fixed index order, and the revision loop runs serially after it.
     ///
     /// # Errors
     ///
@@ -219,23 +213,16 @@ impl SubtractiveClustering {
         self.params.validate()?;
         let scaler = UnitScaler::fit(data)?;
         let x = scaler.transform_all(data)?;
-        let n = x.len();
 
         let alpha = 4.0 / (self.params.radius * self.params.radius);
         let rb = self.params.squash * self.params.radius;
         let beta = 4.0 / (rb * rb);
 
-        // Initial potentials, with the pairwise d² matrix kept when it fits
-        // the memory budget so the revision loop never recomputes distances.
-        let cache_matrix = n <= DIST_CACHE_MAX_POINTS;
-        let (mut potential, dist_cache) = potential_field(&x, alpha, pool, cache_matrix);
+        let mut potential = potential_field(&x, alpha, pool);
 
         let mut centers_unit: Vec<Vec<f64>> = Vec::new();
-        // Data index of each accepted center: the key into the cached rows.
-        let mut center_idx: Vec<usize> = Vec::new();
-        // Without the full matrix: one d²(center, ·) row per accepted
-        // center, computed once by the revision loop and reused by the
-        // gray-zone criterion.
+        // One d²(center, ·) row per accepted center, computed once by the
+        // revision loop and reused by the gray-zone criterion.
         let mut center_rows: Vec<Vec<f64>> = Vec::new();
         let mut relative_potentials = Vec::new();
         let mut first_potential = 0.0;
@@ -257,16 +244,11 @@ impl SubtractiveClustering {
             } else if rel < self.params.reject_ratio {
                 false
             } else {
-                // Gray zone: Chiu's distance criterion, over distances the
-                // potential field / earlier revisions already produced.
-                let d_min = (0..centers_unit.len())
-                    .map(|k| {
-                        let d2 = match &dist_cache {
-                            Some(cache) => cache[center_idx[k] * n + best],
-                            None => center_rows[k][best],
-                        };
-                        d2.sqrt()
-                    })
+                // Gray zone: Chiu's distance criterion, over the rows earlier
+                // revisions already produced.
+                let d_min = center_rows
+                    .iter()
+                    .map(|row| row[best].sqrt())
                     .fold(f64::INFINITY, f64::min);
                 d_min / self.params.radius + rel >= 1.0
             };
@@ -275,30 +257,18 @@ impl SubtractiveClustering {
             }
             // lint: allow(HOT_LOOP_ALLOC) -- bounded by max_centers (default 64), not by the O(n²) data loop
             centers_unit.push(x[best].clone());
-            center_idx.push(best);
             relative_potentials.push(rel);
-            // Subtract the accepted center's influence, reading d² from the
-            // cache when present; otherwise compute the row once and keep it
+            // Subtract the accepted center's influence, keeping its d² row
             // for later gray-zone checks.
-            match &dist_cache {
-                Some(cache) => {
-                    let row = &cache[best * n..(best + 1) * n];
-                    for (p, &d2) in potential.iter_mut().zip(row) {
-                        *p -= p_star * exp_exact(-beta * d2);
-                    }
-                }
-                None => {
-                    let row: Vec<f64> = x
-                        .iter()
-                        .map(|xi| dist_sq(xi, &x[best]).expect("equal dims"))
-                        // lint: allow(HOT_LOOP_ALLOC) -- one row per accepted center (<= max_centers), cached for reuse
-                        .collect();
-                    for (p, &d2) in potential.iter_mut().zip(&row) {
-                        *p -= p_star * exp_exact(-beta * d2);
-                    }
-                    center_rows.push(row);
-                }
+            let row: Vec<f64> = x
+                .iter()
+                .map(|xi| dist_sq(xi, &x[best]).expect("equal dims"))
+                // lint: allow(HOT_LOOP_ALLOC) -- one row per accepted center (<= max_centers), cached for reuse
+                .collect();
+            for (p, &d2) in potential.iter_mut().zip(&row) {
+                *p -= p_star * exp_exact(-beta * d2);
             }
+            center_rows.push(row);
             // Revisiting the same peak forever is impossible because its own
             // potential drops to ~0, but keep potentials non-negative for the
             // ratio tests.
@@ -328,52 +298,25 @@ impl SubtractiveClustering {
 }
 
 /// Build the potential field `P_i = Σ_j exp(−α d²(x_i, x_j))` (ascending
-/// `j`; the `j = i` term is exactly `1.0`), optionally returning the flat
-/// row-major d² matrix for reuse by the revision loop.
+/// `j`; the `j = i` term is exactly `1.0`), computing each distance inside
+/// the sweep.
 ///
 /// Rows are distributed over `pool` in fixed [`POTENTIAL_ROW_CHUNK`] blocks;
 /// each row is an independent fixed-order sum, so the output is
-/// bit-identical at every thread count. The matrix is filled in place
-/// before the parallel sweep, which then reads it: assembling it from
-/// per-chunk rows would hold two copies of all `n²` distances at the peak.
-fn potential_field(
-    x: &[Vec<f64>],
-    alpha: f64,
-    pool: &WorkerPool,
-    cache_matrix: bool,
-) -> (Vec<f64>, Option<Vec<f64>>) {
-    let n = x.len();
-    let matrix = cache_matrix.then(|| {
-        let mut matrix = Vec::with_capacity(n * n);
-        for xi in x {
-            for xj in x {
-                matrix.push(dist_sq(xi, xj).expect("equal dims"));
-            }
-        }
-        matrix
-    });
-    let parts = pool.run_chunks(n, POTENTIAL_ROW_CHUNK, |chunk| {
+/// bit-identical at every thread count.
+fn potential_field(x: &[Vec<f64>], alpha: f64, pool: &WorkerPool) -> Vec<f64> {
+    let parts = pool.run_chunks(x.len(), POTENTIAL_ROW_CHUNK, |chunk| {
         let mut pots = Vec::with_capacity(chunk.len());
-        for i in chunk.start..chunk.end {
+        for xi in &x[chunk.start..chunk.end] {
             let mut p = 0.0f64;
-            match &matrix {
-                Some(m) => {
-                    for &d2 in &m[i * n..(i + 1) * n] {
-                        p += exp_exact(-alpha * d2);
-                    }
-                }
-                None => {
-                    let xi = &x[i];
-                    for xj in x {
-                        p += exp_exact(-alpha * dist_sq(xi, xj).expect("equal dims"));
-                    }
-                }
+            for xj in x {
+                p += exp_exact(-alpha * dist_sq(xi, xj).expect("equal dims"));
             }
             pots.push(p);
         }
         pots
     });
-    (parts.concat(), matrix)
+    parts.concat()
 }
 
 #[cfg(test)]
@@ -615,26 +558,70 @@ mod tests {
             .is_err());
     }
 
-    #[test]
-    fn uncached_distance_path_matches_cached() {
-        // Force the no-matrix path through potential_field directly and
-        // check the revision loop's per-center rows give the same centers.
-        let mut data = blob(0.0, 0.0, 30, 0.2);
-        data.extend(blob(7.0, 3.0, 30, 0.2));
-        let runner = SubtractiveClustering::new(SubtractiveParams::default());
-        let cached = runner.cluster(&data).unwrap();
+    /// `n` points scattered uniformly over four overlapping squares.
+    fn scatter(n: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut s = seed;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let hubs = [[0.0, 0.0], [4.0, 1.0], [1.5, 5.0], [6.0, 6.0]];
+        (0..n)
+            .map(|i| {
+                let [hx, hy] = hubs[i % hubs.len()];
+                vec![hx + 1.5 * next(), hy + 1.5 * next()]
+            })
+            .collect()
+    }
 
-        let scaler = UnitScaler::fit(&data).unwrap();
-        let x = scaler.transform_all(&data).unwrap();
-        let alpha = 4.0 / (0.5 * 0.5);
-        let pool = WorkerPool::serial();
-        let (p_cache, m) = potential_field(&x, alpha, &pool, true);
-        let (p_plain, none) = potential_field(&x, alpha, &pool, false);
-        assert!(m.is_some() && none.is_none());
-        for (a, b) in p_cache.iter().zip(&p_plain) {
-            assert_eq!(a.to_bits(), b.to_bits());
+    #[test]
+    fn centers_and_potentials_are_pinned() {
+        // Bits of `[x, y, P*/P₁*]` per accepted center, captured when runs
+        // of up to 4096 points still read d² from a cached n×n matrix;
+        // 4100 points were already above that cap. Both runs end on a
+        // gray-zone rejection and the 600-point run accepts two centers in
+        // the gray zone, so Chiu's distance criterion is pinned too.
+        let pinned: [(usize, u64, &[[u64; 3]]); 2] = [
+            (
+                600,
+                5,
+                &[
+                    [0x4001f2502c30a689, 0x4016c00db2cd07ce, 0x3ff0000000000000],
+                    [0x401bb689db3b860c, 0x401a9ab01db96dc6, 0x3fed37c43c52ff43],
+                    [0x4012e9f67e3c83f4, 0x3ffc1a19cd5a4096, 0x3fed2aebcc1f3322],
+                    [0x3fe770b6276b0a37, 0x3fec756b7a2a3c1e, 0x3feba3d1875f78ea],
+                    [0x40195bbffa4a31a6, 0x401d442f1246c758, 0x3fd39bf20fc179fc],
+                    [0x3ff4891c752263ee, 0x3fc6fc02a873d208, 0x3fd2de7aab5990d3],
+                ],
+            ),
+            (
+                4100,
+                9,
+                &[
+                    [0x4012f2f283fb23b6, 0x3ffb10cf8836c6b9, 0x3ff0000000000000],
+                    [0x40022727e364dce0, 0x40171339f536869a, 0x3feffbf44669e11b],
+                    [0x401adfc929026bc0, 0x401aeece5d04ede1, 0x3fefb3a71b3512a6],
+                    [0x3fe91a375fc09514, 0x3fe91b86a049e9b4, 0x3fef9931c43edd37],
+                ],
+            ),
+        ];
+        let runner = SubtractiveClustering::new(SubtractiveParams {
+            radius: 0.17,
+            ..SubtractiveParams::default()
+        });
+        for (n, seed, want) in pinned {
+            let r = runner
+                .cluster_with(&scatter(n, seed), &WorkerPool::new(2))
+                .unwrap();
+            let got: Vec<[u64; 3]> = r
+                .centers
+                .iter()
+                .zip(&r.relative_potentials)
+                .map(|(c, p)| [c[0].to_bits(), c[1].to_bits(), p.to_bits()])
+                .collect();
+            assert_eq!(got, want, "n={n}");
         }
-        // Sanity on the run itself.
-        assert_eq!(cached.centers.len(), 2);
     }
 }

@@ -6,6 +6,7 @@
 //! of rows, tens of columns): it iteratively orthogonalises the columns of
 //! `A`, yielding `A = U Σ Vᵀ` with `U` column-orthonormal (thin SVD).
 
+// analyze: hot-path
 // lint: allow(PANIC_IN_LIB, file) -- dense linear-algebra kernel: dimensions are checked once at entry
 
 use crate::matrix::Matrix;
@@ -59,9 +60,27 @@ impl Svd {
                 actual: m,
             });
         }
-        // Work on columns of a copy of A; accumulate rotations into V.
-        let mut u = a.clone();
-        let mut v = Matrix::identity(n);
+        // Sweep over column-major working copies so every column read is a
+        // contiguous slice: column `j` of `U` is `u[j * m..(j + 1) * m]`, of
+        // `V` is `v[j * n..(j + 1) * n]`. Rotations accumulate into `V`.
+        let mut u = vec![0.0; m * n];
+        for (i, row) in a.as_slice().chunks_exact(n).enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                u[j * m + i] = x;
+            }
+        }
+        let mut v = vec![0.0; n * n];
+        for j in 0..n {
+            v[j * n + j] = 1.0;
+        }
+        // Squared column norms, each summed in row order. A rotation
+        // recomputes both of its columns' norms from the values it stores,
+        // again in row order, so the cached value is bit-identical to
+        // summing the column afresh at the next pair check.
+        let mut norm2 = vec![0.0; n];
+        for (nj, col) in norm2.iter_mut().zip(u.chunks_exact(m)) {
+            *nj = sum_sq(col);
+        }
 
         let tol = 1e-13;
         // Columns whose squared norm has collapsed to rounding noise relative
@@ -75,20 +94,17 @@ impl Svd {
             for p in 0..n {
                 for q in (p + 1)..n {
                     // Gram entries over columns p and q.
-                    let mut app = 0.0;
-                    let mut aqq = 0.0;
-                    let mut apq = 0.0;
-                    for i in 0..m {
-                        let up = u[(i, p)];
-                        let uq = u[(i, q)];
-                        app += up * up;
-                        aqq += uq * uq;
-                        apq += up * uq;
+                    let app = norm2[p];
+                    let aqq = norm2[q];
+                    if app <= dead || aqq <= dead {
+                        continue;
                     }
-                    if app <= dead
-                        || aqq <= dead
-                        || apq.abs() <= tol * (app * aqq).sqrt().max(f64::MIN_POSITIVE)
-                    {
+                    let (up, uq) = column_pair(&mut u, m, p, q);
+                    let mut apq = 0.0;
+                    for (&x, &y) in up.iter().zip(uq.iter()) {
+                        apq += x * y;
+                    }
+                    if apq.abs() <= tol * (app * aqq).sqrt().max(f64::MIN_POSITIVE) {
                         continue;
                     }
                     rotations += 1;
@@ -97,18 +113,11 @@ impl Svd {
                     let t = tau.signum() / (tau.abs() + (1.0 + tau * tau).sqrt());
                     let c = 1.0 / (1.0 + t * t).sqrt();
                     let s = c * t;
-                    for i in 0..m {
-                        let up = u[(i, p)];
-                        let uq = u[(i, q)];
-                        u[(i, p)] = c * up - s * uq;
-                        u[(i, q)] = s * up + c * uq;
-                    }
-                    for i in 0..n {
-                        let vp = v[(i, p)];
-                        let vq = v[(i, q)];
-                        v[(i, p)] = c * vp - s * vq;
-                        v[(i, q)] = s * vp + c * vq;
-                    }
+                    let (np, nq) = rotate(up, uq, c, s);
+                    norm2[p] = np;
+                    norm2[q] = nq;
+                    let (vp, vq) = column_pair(&mut v, n, p, q);
+                    rotate(vp, vq, c, s);
                 }
             }
             if rotations == 0 {
@@ -124,11 +133,8 @@ impl Svd {
         }
 
         // Column norms are the singular values; normalise U's columns.
+        let sigma: Vec<f64> = norm2.iter().map(|s2| s2.sqrt()).collect();
         let mut order: Vec<usize> = (0..n).collect();
-        let mut sigma = vec![0.0; n];
-        for (j, s) in sigma.iter_mut().enumerate() {
-            *s = (0..m).map(|i| u[(i, j)] * u[(i, j)]).sum::<f64>().sqrt();
-        }
         order.sort_by(|&i, &j| sigma[j].total_cmp(&sigma[i]));
 
         let mut u_sorted = Matrix::zeros(m, n);
@@ -140,11 +146,11 @@ impl Svd {
             // Zero columns (rank deficiency) keep a zero U column; V is still
             // orthogonal because rotations preserved it.
             let inv = if s > 0.0 { 1.0 / s } else { 0.0 };
-            for i in 0..m {
-                u_sorted[(i, new_j)] = u[(i, old_j)] * inv;
+            for (i, &x) in u[old_j * m..(old_j + 1) * m].iter().enumerate() {
+                u_sorted[(i, new_j)] = x * inv;
             }
-            for i in 0..n {
-                v_sorted[(i, new_j)] = v[(i, old_j)];
+            for (i, &x) in v[old_j * n..(old_j + 1) * n].iter().enumerate() {
+                v_sorted[(i, new_j)] = x;
             }
         }
 
@@ -229,9 +235,244 @@ impl Svd {
     }
 }
 
+/// Sum of squares accumulated in index order (the order the pair check and
+/// the rotation both use, so cached norms match a fresh sum bit for bit).
+fn sum_sq(col: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for &x in col {
+        acc += x * x;
+    }
+    acc
+}
+
+/// Disjoint mutable views of columns `p < q` of a column-major buffer whose
+/// columns are `len` long.
+fn column_pair(buf: &mut [f64], len: usize, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
+    let (lo, hi) = buf.split_at_mut(q * len);
+    (&mut lo[p * len..(p + 1) * len], &mut hi[..len])
+}
+
+/// Apply the plane rotation `(c, s)` to the column pair in place and return
+/// the two new squared norms, summed in index order.
+fn rotate(xp: &mut [f64], xq: &mut [f64], c: f64, s: f64) -> (f64, f64) {
+    let mut np = 0.0;
+    let mut nq = 0.0;
+    for (a, b) in xp.iter_mut().zip(xq.iter_mut()) {
+        let (x, y) = (*a, *b);
+        let rp = c * x - s * y;
+        let rq = s * x + c * y;
+        *a = rp;
+        *b = rq;
+        np += rp * rp;
+        nq += rq * rq;
+    }
+    (np, nq)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The row-major one-sided Jacobi this module shipped before the sweep
+    /// moved to column-major copies with cached norms. It recomputes every
+    /// Gram entry from a strided column walk; kept only as the oracle the
+    /// production sweep must match bit for bit.
+    fn row_major_reference(a: &Matrix) -> Result<Svd> {
+        let m = a.rows();
+        let n = a.cols();
+        if m < n {
+            return Err(MathError::DimensionMismatch {
+                context: "svd requires rows >= cols",
+                expected: n,
+                actual: m,
+            });
+        }
+        let mut u = a.clone();
+        let mut v = Matrix::identity(n);
+        let tol = 1e-13;
+        let scale2: f64 = a.as_slice().iter().map(|x| x * x).sum();
+        let dead = 1e-26 * scale2;
+        let mut converged = false;
+        for _ in 0..MAX_SWEEPS {
+            let mut rotations = 0usize;
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    let mut app = 0.0;
+                    let mut aqq = 0.0;
+                    let mut apq = 0.0;
+                    for i in 0..m {
+                        let up = u[(i, p)];
+                        let uq = u[(i, q)];
+                        app += up * up;
+                        aqq += uq * uq;
+                        apq += up * uq;
+                    }
+                    if app <= dead
+                        || aqq <= dead
+                        || apq.abs() <= tol * (app * aqq).sqrt().max(f64::MIN_POSITIVE)
+                    {
+                        continue;
+                    }
+                    rotations += 1;
+                    let tau = (aqq - app) / (2.0 * apq);
+                    let t = tau.signum() / (tau.abs() + (1.0 + tau * tau).sqrt());
+                    let c = 1.0 / (1.0 + t * t).sqrt();
+                    let s = c * t;
+                    for i in 0..m {
+                        let up = u[(i, p)];
+                        let uq = u[(i, q)];
+                        u[(i, p)] = c * up - s * uq;
+                        u[(i, q)] = s * up + c * uq;
+                    }
+                    for i in 0..n {
+                        let vp = v[(i, p)];
+                        let vq = v[(i, q)];
+                        v[(i, p)] = c * vp - s * vq;
+                        v[(i, q)] = s * vp + c * vq;
+                    }
+                }
+            }
+            if rotations == 0 {
+                converged = true;
+                break;
+            }
+        }
+        if !converged {
+            return Err(MathError::NoConvergence {
+                method: "jacobi-svd",
+                iterations: MAX_SWEEPS,
+            });
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut sigma = vec![0.0; n];
+        for (j, s) in sigma.iter_mut().enumerate() {
+            *s = (0..m).map(|i| u[(i, j)] * u[(i, j)]).sum::<f64>().sqrt();
+        }
+        order.sort_by(|&i, &j| sigma[j].total_cmp(&sigma[i]));
+        let mut u_sorted = Matrix::zeros(m, n);
+        let mut v_sorted = Matrix::zeros(n, n);
+        let mut sigma_sorted = vec![0.0; n];
+        for (new_j, &old_j) in order.iter().enumerate() {
+            let s = sigma[old_j];
+            sigma_sorted[new_j] = s;
+            let inv = if s > 0.0 { 1.0 / s } else { 0.0 };
+            for i in 0..m {
+                u_sorted[(i, new_j)] = u[(i, old_j)] * inv;
+            }
+            for i in 0..n {
+                v_sorted[(i, new_j)] = v[(i, old_j)];
+            }
+        }
+        Ok(Svd {
+            u: u_sorted,
+            sigma: sigma_sorted,
+            v: v_sorted,
+        })
+    }
+
+    /// Deterministic uniform draws in `[-1, 1)` (LCG; no dev-dependency).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> f64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        }
+
+        fn matrix(&mut self, m: usize, n: usize) -> Matrix {
+            let data = (0..m * n).map(|_| self.next()).collect();
+            Matrix::from_vec(m, n, data).unwrap()
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `u`, `sigma`, `v` and a seeded `solve(b)` must match the row-major
+    /// reference bit for bit.
+    fn assert_matches_reference(a: &Matrix, seed: u64) {
+        let (m, n) = (a.rows(), a.cols());
+        let got = Svd::new(a).unwrap();
+        let want = row_major_reference(a).unwrap();
+        assert_eq!(bits(&got.sigma), bits(&want.sigma), "sigma {m}x{n}");
+        assert_eq!(bits(got.u.as_slice()), bits(want.u.as_slice()), "u {m}x{n}");
+        assert_eq!(bits(got.v.as_slice()), bits(want.v.as_slice()), "v {m}x{n}");
+        let mut rng = Lcg(seed);
+        let b: Vec<f64> = (0..m).map(|_| rng.next()).collect();
+        assert_eq!(
+            bits(&got.solve(&b).unwrap()),
+            bits(&want.solve(&b).unwrap()),
+            "solve {m}x{n}"
+        );
+    }
+
+    #[test]
+    fn matches_reference_on_single_column_and_square() {
+        let mut rng = Lcg(11);
+        for seed in 0..4 {
+            assert_matches_reference(&rng.matrix(9, 1), seed);
+            assert_matches_reference(&rng.matrix(1, 1), seed);
+            assert_matches_reference(&rng.matrix(7, 7), seed);
+            assert_matches_reference(&rng.matrix(16, 16), seed);
+        }
+    }
+
+    #[test]
+    fn matches_reference_on_duplicated_and_zero_columns() {
+        let mut rng = Lcg(23);
+        for seed in 0..4 {
+            let (m, n) = (40, 8);
+            let base = rng.matrix(m, n);
+            let mut a = base.clone();
+            for i in 0..m {
+                // Column 3 repeats column 1, column 6 repeats column 2 up to
+                // a sign, and column 5 is all zeros: the `dead` path.
+                a[(i, 3)] = base[(i, 1)];
+                a[(i, 6)] = -base[(i, 2)];
+                a[(i, 5)] = 0.0;
+            }
+            assert_matches_reference(&a, seed);
+            assert!(Svd::new(&a).unwrap().rank() <= n - 3);
+        }
+        // All-zero matrix: every column is dead from the start.
+        assert_matches_reference(&Matrix::zeros(5, 3), 0);
+    }
+
+    #[test]
+    fn matches_reference_on_entries_spanning_300_decades() {
+        let mut rng = Lcg(37);
+        for seed in 0..4 {
+            let (m, n) = (24, 6);
+            let mut a = rng.matrix(m, n);
+            for i in 0..m {
+                for j in 0..n {
+                    // Exponent uniform in [-150, 150].
+                    let e = (rng.next() * 150.0).round() as i32;
+                    a[(i, j)] *= 10f64.powi(e);
+                }
+            }
+            assert_matches_reference(&a, seed);
+        }
+    }
+
+    #[test]
+    fn matches_reference_on_anfis_shapes() {
+        // The consequent least-squares design matrices of the two pen FIS
+        // builds: rows are training samples, columns rule-weighted inputs.
+        let mut rng = Lcg(41);
+        for (m, n) in [(487, 30), (812, 12)] {
+            let mut a = rng.matrix(m, n);
+            // Near-collinear columns, as normalized rule activations give.
+            for i in 0..m {
+                a[(i, n - 1)] = a[(i, 0)] + 1e-9 * a[(i, n - 1)];
+            }
+            assert_matches_reference(&a, m as u64);
+        }
+    }
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} vs {b}");
@@ -341,29 +582,21 @@ mod tests {
     #[test]
     fn wide_matrix_rejected() {
         let a = Matrix::zeros(2, 3);
-        assert!(matches!(
-            Svd::new(&a),
-            Err(MathError::DimensionMismatch { .. })
-        ));
+        let want = MathError::DimensionMismatch {
+            context: "svd requires rows >= cols",
+            expected: 3,
+            actual: 2,
+        };
+        assert_eq!(Svd::new(&a).unwrap_err(), want);
+        assert_eq!(row_major_reference(&a).unwrap_err(), want);
     }
 
     #[test]
     fn random_reconstruction_accuracy() {
-        // Deterministic pseudo-random fill (LCG) — avoids dev-dependency use
+        // Deterministic pseudo-random fill — avoids dev-dependency use
         // inside the unit test while still covering a "generic" matrix.
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let m = 12;
-        let n = 5;
-        let mut a = Matrix::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                a[(i, j)] = next();
-            }
-        }
+        let (m, n) = (12, 5);
+        let a = Lcg(0x2545F4914F6CDD1D).matrix(m, n);
         let svd = Svd::new(&a).unwrap();
         let r = svd.reconstruct();
         for i in 0..m {
